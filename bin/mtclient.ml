@@ -23,6 +23,8 @@ let pp_response = function
   | Kvserver.Protocol.Value None -> print_endline "(not found)"
   | Kvserver.Protocol.Value (Some cols) ->
       print_endline (String.concat "\t" (Array.to_list cols))
+  | Kvserver.Protocol.Value_packed p ->
+      print_endline (String.concat "\t" (Array.to_list (Kvstore.Packed.unpack p)))
   | Kvserver.Protocol.Ok_put -> print_endline "ok"
   | Kvserver.Protocol.Removed b -> print_endline (if b then "removed" else "(not found)")
   | Kvserver.Protocol.Range items ->

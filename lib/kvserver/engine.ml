@@ -113,6 +113,11 @@ let b_get ~worker b key =
   | Single s -> Kvstore.Store.get s key
   | Sharded r -> Shard.Router.get ~worker r key
 
+let b_get_packed ~worker b key =
+  match b.target with
+  | Single s -> Kvstore.Store.get_packed s key
+  | Sharded r -> Shard.Router.get_packed ~worker r key
+
 let b_get_columns ~worker b key columns =
   match b.target with
   | Single s -> Kvstore.Store.get_columns s key columns
@@ -133,10 +138,14 @@ let b_remove ~worker b key =
   | Single s -> Kvstore.Store.remove ~worker s key
   | Sharded r -> Shard.Router.remove ~worker r key
 
-let b_multi_get ~worker b keys =
+let b_multi_get_packed ~worker b keys =
   match b.target with
-  | Single s -> Kvstore.Store.multi_get s keys
-  | Sharded r -> Shard.Router.multi_get ~worker r keys
+  | Single s -> Kvstore.Store.multi_get_packed s keys
+  | Sharded r -> Shard.Router.multi_get_packed ~worker r keys
+
+(* Full-value gets answer with the stored wire bytes: the response
+   encoder blits them, with no per-column work. *)
+let value_packed = function None -> Protocol.Value None | Some p -> Protocol.Value_packed p
 
 let b_getrange b ~start ?columns ~limit f =
   match b.target with
@@ -225,7 +234,7 @@ let execute_op ~worker backend req =
             (match columns with
             | [] -> b_get ~worker backend key
             | cols -> b_get_columns ~worker backend key cols))
-  | Protocol.Get { key; columns = [] } -> Protocol.Value (b_get ~worker backend key)
+  | Protocol.Get { key; columns = [] } -> value_packed (b_get_packed ~worker backend key)
   | Protocol.Get { key; columns } ->
       Protocol.Value (b_get_columns ~worker backend key columns)
   | Protocol.Put { key; columns } ->
@@ -278,40 +287,34 @@ let execute ~worker backend req =
     resp
   end
 
-(* Batches made entirely of full-value gets take the software-pipelined
-   group-get path (§4.8, docs/BATCHING.md): one interleaved traversal
-   for the whole message instead of independent descents.  The traversal
-   is shared, so telemetry records the batch as one
-   [lat_us.multiget_batch] sample plus one [ops.get] count per key. *)
+(* One software-pipelined group get (§4.8, docs/BATCHING.md) for a
+   batch of full-value gets: one interleaved traversal instead of
+   independent descents.  The traversal is shared, so telemetry records
+   it as one [lat_us.multiget_batch] sample plus one [ops.get] count per
+   key. *)
+let group_get ~worker backend keys =
+  let t0 = Xutil.Clock.now_ns () in
+  let results = b_multi_get_packed ~worker backend keys in
+  if Obs.Registry.is_enabled reg then begin
+    let dur_us = Int64.to_int (Int64.sub (Xutil.Clock.now_ns ()) t0) / 1000 in
+    Obs.Registry.add ~worker op_counters.(0) (Array.length keys);
+    Obs.Registry.observe ~worker multiget_hist dur_us;
+    Obs.Trace.maybe_record (Obs.Registry.trace reg) ~worker ~op:"multiget" ~key:keys.(0)
+      ~dur_us
+  end;
+  results
+
+let is_full_get = function Protocol.Get { columns = []; _ } -> true | _ -> false
+
+let get_key = function Protocol.Get { key; _ } -> key | _ -> assert false
+
+(* Batches made entirely of full-value gets take the group-get path. *)
 let execute_batch ~worker backend reqs =
-  let telemetry = Obs.Registry.is_enabled reg in
-  if telemetry then Obs.Registry.incr ~worker batches_counter;
-  let all_full_gets =
-    reqs <> []
-    && List.for_all
-         (function Protocol.Get { columns = []; _ } -> true | _ -> false)
-         reqs
-  in
-  if all_full_gets then begin
-    let keys =
-      Array.of_list
-        (List.map
-           (function Protocol.Get { key; _ } -> key | _ -> assert false)
-           reqs)
-    in
-    let t0 = Xutil.Clock.now_ns () in
-    match b_multi_get ~worker backend keys with
-    | results ->
-        if telemetry then begin
-          let dur_us = Int64.to_int (Int64.sub (Xutil.Clock.now_ns ()) t0) / 1000 in
-          Obs.Registry.add ~worker op_counters.(0) (Array.length keys);
-          Obs.Registry.observe ~worker multiget_hist dur_us;
-          Obs.Trace.maybe_record (Obs.Registry.trace reg) ~worker ~op:"multiget"
-            ~key:keys.(0) ~dur_us
-        end;
-        Array.to_list (Array.map (fun r -> Protocol.Value r) results)
+  if Obs.Registry.is_enabled reg then Obs.Registry.incr ~worker batches_counter;
+  if reqs <> [] && List.for_all is_full_get reqs then
+    match group_get ~worker backend (Array.of_list (List.map get_key reqs)) with
+    | results -> Array.fold_right (fun r acc -> value_packed r :: acc) results []
     | exception e -> List.map (fun _ -> Protocol.Failed (Printexc.to_string e)) reqs
-  end
   else List.map (execute ~worker backend) reqs
 
 let handle_frame ~worker backend body =
@@ -321,8 +324,6 @@ let handle_frame ~worker backend body =
 
 (* ---- pipelined multi-frame execution (reactor path) ---- *)
 
-let is_full_get = function Protocol.Get { columns = []; _ } -> true | _ -> false
-
 (* A run of consecutive full-value-get frames shares one software-
    pipelined group get (§4.8): the pipelining client sent independent
    lookups, so the whole window traverses the trie together instead of
@@ -330,24 +331,11 @@ let is_full_get = function Protocol.Get { columns = []; _ } -> true | _ -> false
    [ops.batches] per frame, one [lat_us.multiget_batch] sample for the
    shared traversal. *)
 let execute_get_run ~worker backend frames emit =
-  let telemetry = Obs.Registry.is_enabled reg in
-  let keys =
-    Array.of_list
-      (List.concat_map
-         (List.map (function Protocol.Get { key; _ } -> key | _ -> assert false))
-         frames)
-  in
-  if telemetry then Obs.Registry.add ~worker batches_counter (List.length frames);
-  let t0 = Xutil.Clock.now_ns () in
-  match b_multi_get ~worker backend keys with
+  if Obs.Registry.is_enabled reg then
+    Obs.Registry.add ~worker batches_counter (List.length frames);
+  let keys = Array.of_list (List.concat_map (List.map get_key) frames) in
+  match group_get ~worker backend keys with
   | results ->
-      if telemetry then begin
-        let dur_us = Int64.to_int (Int64.sub (Xutil.Clock.now_ns ()) t0) / 1000 in
-        Obs.Registry.add ~worker op_counters.(0) (Array.length keys);
-        Obs.Registry.observe ~worker multiget_hist dur_us;
-        Obs.Trace.maybe_record (Obs.Registry.trace reg) ~worker ~op:"multiget"
-          ~key:keys.(0) ~dur_us
-      end;
       let idx = ref 0 in
       List.iter
         (fun reqs ->
@@ -356,7 +344,7 @@ let execute_get_run ~worker backend frames emit =
                (fun _ ->
                  let r = results.(!idx) in
                  incr idx;
-                 Protocol.Value r)
+                 value_packed r)
                reqs))
         frames
   | exception e ->

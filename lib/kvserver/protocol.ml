@@ -48,6 +48,7 @@ let snap_error_to_string = function
 
 type response =
   | Value of string array option
+  | Value_packed of string
   | Ok_put
   | Removed of bool
   | Range of (string * string array) list
@@ -73,7 +74,9 @@ let read_int_list r =
 
 let write_cols w a =
   Binio.write_varint w (Array.length a);
-  Array.iter (Binio.write_string w) a
+  for i = 0 to Array.length a - 1 do
+    Binio.write_string w a.(i)
+  done
 
 let read_cols r =
   let n = Binio.read_varint r in
@@ -221,6 +224,10 @@ let encode_response w = function
   | Value (Some cols) ->
       Binio.write_u8 w 2;
       write_cols w cols
+  | Value_packed p ->
+      (* [p] is [write_cols]'s encoding already (Kvstore.Packed). *)
+      Binio.write_u8 w 2;
+      Binio.write_raw w p
   | Ok_put -> Binio.write_u8 w 3
   | Removed b ->
       Binio.write_u8 w 4;
@@ -349,9 +356,17 @@ let decode_requests = decode_batch decode_request
 
 let decode_responses = decode_batch decode_response
 
+(* A top-level loop, not [List.iter (encode_response w)]: the partial
+   application would allocate a closure per frame. *)
+let rec encode_each w = function
+  | [] -> ()
+  | r :: rest ->
+      encode_response w r;
+      encode_each w rest
+
 let encode_responses_into w resps =
   Binio.write_varint w (List.length resps);
-  List.iter (encode_response w) resps
+  encode_each w resps
 
 (* Decode a frame body that lives inside a larger receive buffer, without
    copying it out first.  The reader can physically see bytes past the

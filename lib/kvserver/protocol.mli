@@ -78,6 +78,13 @@ val snap_error_to_string : snap_error -> string
 
 type response =
   | Value of string array option (** for Get and Snap_read *)
+  | Value_packed of string
+      (** A full-value [Get]'s answer as the server builds it: the value's
+          columns already in wire form ({!Kvstore.Packed}), written after
+          the tag with one blit.  It encodes byte for byte as
+          [Value (Some (Kvstore.Packed.unpack p))], and decoding yields
+          that [Value]: no decoder produces [Value_packed], so clients
+          never see it. *)
   | Ok_put (** for Put / Put_cols *)
   | Removed of bool (** for Remove *)
   | Range of (string * string array) list (** for Getrange and Snap_range *)
@@ -99,7 +106,8 @@ type response =
       (** the shard's applied clock was below the requested floor *)
 
 val encode_requests : request list -> string
-(** A complete frame. *)
+(** A frame body: [varint count | count messages], without the length
+    prefix ({!write_frame} adds it). *)
 
 val encode_responses : response list -> string
 

@@ -4,62 +4,74 @@ type value = { version : int64; columns : string array }
 
 type layout = Contiguous | Columnar
 
-(* The two §4.7 value representations.  [Flat] packs all columns into one
-   string with an offset table — one allocation per value, whole-value
-   copy on every update.  [Cols] keeps one block per column — updates
-   share unmodified blocks structurally.  Both are immutable and swapped
-   in with a single store, so multi-column puts stay atomic. *)
-type content =
-  | Flat of string * int array (* data, column end-offsets *)
-  | Cols of string array
+(* A key's head in the tree, one of the two §4.7 value representations
+   or a tombstone.  The border slot points at this record, and the record
+   holds the bytes: a full-value get touches two blocks past the border
+   node.  [Flat] is one string already in its wire encoding (module
+   [Packed]) — one allocation per value, whole-value copy on every
+   update, served to the network with one blit.  [Cols] keeps one block
+   per column — updates share unmodified blocks structurally, reads pack
+   on demand.  Heads are immutable and swapped in with a single store,
+   so multi-column puts stay atomic.
 
-let pack columns =
-  let n = Array.length columns in
-  let offsets = Array.make n 0 in
-  let total = ref 0 in
-  Array.iteri
-    (fun i c ->
-      total := !total + String.length c;
-      offsets.(i) <- !total)
-    columns;
-  let buf = Bytes.create !total in
-  let pos = ref 0 in
-  Array.iter
-    (fun c ->
-      Bytes.blit_string c 0 buf !pos (String.length c);
-      pos := !pos + String.length c)
-    columns;
-  Flat (Bytes.unsafe_to_string buf, offsets)
+   [Tomb] is a versioned remove: during recovery a Remove record must
+   shadow older Put records that may arrive later from other logs, so
+   removes materialize as tombstones and are swept once replay finishes.
+   Live operation stores tombstones only while snapshots are open (a
+   remove must stay resolvable at older snapshot versions); the prune
+   pass deletes them once no snapshot can see past them.
 
-let unpack = function
-  | Cols a -> a
-  | Flat (data, offsets) ->
-      Array.mapi
-        (fun i e ->
-          let s = if i = 0 then 0 else offsets.(i - 1) in
-          String.sub data s (e - s))
-        offsets
+   [schain] is the MVCC version chain (docs/MVCC.md): heads this head
+   retired that some open snapshot may still read, newest first, each
+   with an empty chain of its own.  The chain travels with the head — one
+   atomic tree store publishes both — and is empty whenever no snapshot
+   was open at overwrite time. *)
+type stored =
+  | Flat of { sversion : int64; bytes : string; schain : stored Mvcc.Chain.t }
+  | Cols of { sversion : int64; cols : string array; schain : stored Mvcc.Chain.t }
+  | Tomb of { sversion : int64; schain : stored Mvcc.Chain.t }
 
-let content_of layout columns =
-  match layout with Contiguous -> pack columns | Columnar -> Cols columns
+let version_of = function
+  | Flat { sversion; _ } | Cols { sversion; _ } | Tomb { sversion; _ } -> sversion
 
-(* Stored values carry an optional tombstone state: during recovery a
-   Remove record must shadow older Put records that may arrive later from
-   other logs, so removes materialize as versioned tombstones and are
-   swept once replay finishes.  Live operation stores tombstones only
-   while snapshots are open (a remove must stay resolvable at older
-   snapshot versions); the prune pass deletes them once no snapshot can
-   see past them.
+let chain_of = function
+  | Flat { schain; _ } | Cols { schain; _ } | Tomb { schain; _ } -> schain
 
-   [schain] is the MVCC version chain (docs/MVCC.md): payloads this head
-   retired that some open snapshot may still read, newest first.  The
-   chain travels with the head — one atomic tree store publishes both —
-   and is empty whenever no snapshot was open at overwrite time. *)
-type stored = {
-  sversion : int64;
-  scontent : content option;
-  schain : content option Mvcc.Chain.t;
-}
+let with_chain st schain =
+  match st with
+  | Flat r -> Flat { r with schain }
+  | Cols r -> Cols { r with schain }
+  | Tomb r -> Tomb { r with schain }
+
+let is_tomb = function Tomb _ -> true | Flat _ | Cols _ -> false
+
+(* A tombstone no snapshot can reach: the prune pass and the post-replay
+   sweep delete these. *)
+let dead_tomb = function Tomb { schain = None; _ } -> true | _ -> false
+
+let select columns requested =
+  Array.of_list
+    (List.map
+       (fun i -> if i >= 0 && i < Array.length columns then columns.(i) else "")
+       requested)
+
+(* The one place columns are read out of a head: every column
+   ([columns = None]) or the requested ones in request order.  [None] for
+   a tombstone.  Under Columnar the full read returns the head's own
+   array, shared. *)
+let head_columns st columns =
+  match (st, columns) with
+  | Tomb _, _ -> None
+  | Flat { bytes; _ }, None -> Some (Packed.unpack bytes)
+  | Flat { bytes; _ }, Some cs -> Some (Packed.select bytes cs)
+  | Cols { cols; _ }, None -> Some cols
+  | Cols { cols; _ }, Some cs -> Some (select cols cs)
+
+(* The head's value in wire form: no copy under Contiguous. *)
+let packed_of = function
+  | Flat { bytes; _ } -> Some bytes
+  | Cols { cols; _ } -> Some (Packed.pack cols)
+  | Tomb _ -> None
 
 type t = {
   tree : stored Tree.t;
@@ -158,15 +170,17 @@ let retired_chain t ~chained ~delta ~len old =
   match old with
   | None -> Mvcc.Chain.empty
   | Some o ->
+      let ochain = chain_of o in
       if chained then begin
         let epoch = Epoch.global_epoch (Tree.epoch_manager t.tree) in
-        let c = Mvcc.Chain.push o.schain ~version:o.sversion ~epoch o.scontent in
+        let retired = if Option.is_none ochain then o else with_chain o Mvcc.Chain.empty in
+        let c = Mvcc.Chain.push ochain ~version:(version_of o) ~epoch retired in
         delta := 1;
         len := Mvcc.Chain.length c;
         c
       end
       else begin
-        delta := -Mvcc.Chain.length o.schain;
+        delta := -Mvcc.Chain.length ochain;
         Mvcc.Chain.empty
       end
 
@@ -204,25 +218,22 @@ let prune_pass t =
         (Tree.update t.tree key (fun st ->
              delta := 0;
              survived := false;
-             match st.schain with
+             match chain_of st with
              | None -> st
-             | Some _ ->
+             | Some _ as schain ->
                  let snapshots = Mvcc.Horizon.versions t.snaps in
                  let chain =
-                   Mvcc.Chain.prune st.schain ~death_of_head:st.sversion ~snapshots
+                   Mvcc.Chain.prune schain ~death_of_head:(version_of st) ~snapshots
                  in
-                 delta := Mvcc.Chain.length chain - Mvcc.Chain.length st.schain;
+                 delta := Mvcc.Chain.length chain - Mvcc.Chain.length schain;
                  if chain != Mvcc.Chain.empty then survived := true;
-                 if !delta = 0 then st else { st with schain = chain }));
+                 if !delta = 0 then st else with_chain st chain));
       apply_version_delta t !delta;
       (* A tombstone whose chain is gone is invisible to every snapshot
          (new opens pin versions past it; see docs/MVCC.md) — delete it.
          [remove_if] re-checks under the lock, so a concurrent reinsert
          is never clobbered. *)
-      (match
-         Tree.remove_if t.tree key (fun st ->
-             st.scontent = None && st.schain = None)
-       with
+      (match Tree.remove_if t.tree key dead_tomb with
       | Some _ -> ()
       | None -> if !survived then survivors := key :: !survivors))
     keys;
@@ -259,26 +270,34 @@ let note_chained t key ~delta ~len =
 
 let get_value t key =
   match Tree.get t.tree key with
-  | Some { sversion; scontent = Some c; _ } -> Some { version = sversion; columns = unpack c }
-  | Some { scontent = None; _ } | None -> None
+  | Some st -> (
+      match head_columns st None with
+      | Some columns -> Some { version = version_of st; columns }
+      | None -> None)
+  | None -> None
 
-let get t key = Option.map (fun v -> v.columns) (get_value t key)
+let get t key =
+  match Tree.get t.tree key with Some st -> head_columns st None | None -> None
+
+let get_columns t key cols =
+  match Tree.get t.tree key with Some st -> head_columns st (Some cols) | None -> None
+
+let get_packed t key = match Tree.get t.tree key with Some st -> packed_of st | None -> None
+
+let get_packed_value t key =
+  match Tree.get t.tree key with
+  | Some st -> Option.map (fun p -> (version_of st, p)) (packed_of st)
+  | None -> None
+
+let multi_get_packed t keys =
+  Array.map
+    (function Some st -> packed_of st | None -> None)
+    (Tree.multi_get_pipelined t.tree keys)
 
 let multi_get t keys =
   Array.map
-    (function
-      | Some { scontent = Some c; _ } -> Some (unpack c)
-      | Some { scontent = None; _ } | None -> None)
+    (function Some st -> head_columns st None | None -> None)
     (Tree.multi_get_pipelined t.tree keys)
-
-let select columns requested =
-  Array.of_list
-    (List.map
-       (fun i -> if i >= 0 && i < Array.length columns then columns.(i) else "")
-       requested)
-
-let get_columns t key cols =
-  Option.map (fun v -> select v.columns cols) (get_value t key)
 
 (* ---- writes ---- *)
 
@@ -302,10 +321,26 @@ let get_columns t key cols =
    the live tree.  Closures reset their out-refs on entry: a tree-level
    [Restart] can re-run them. *)
 
+(* A head holding [columns], which it owns from here on, with an empty
+   chain; [install] hangs on the chain it retires. *)
+let fresh_head t ~version columns =
+  match t.vlayout with
+  | Contiguous ->
+      Flat { sversion = version; bytes = Packed.pack columns; schain = Mvcc.Chain.empty }
+  | Columnar -> Cols { sversion = version; cols = columns; schain = Mvcc.Chain.empty }
+
+let install head chain = if Option.is_none chain then head else with_chain head chain
+
 let put ?worker t key columns =
   let worker = match worker with Some w -> w | None -> default_worker () in
   let version = next_version t in
   let chained = Mvcc.Horizon.active t.snaps > 0 in
+  (* Built before the border lock is taken: a full put's content does not
+     depend on the head it replaces. *)
+  let head =
+    fresh_head t ~version
+      (match t.vlayout with Contiguous -> columns | Columnar -> Array.copy columns)
+  in
   let delta = ref 0 and len = ref 0 in
   let applied = ref false in
   ignore
@@ -314,15 +349,10 @@ let put ?worker t key columns =
          len := 0;
          applied := false;
          match old with
-         | Some existing when Int64.compare existing.sversion version >= 0 ->
-             existing
+         | Some existing when Int64.compare (version_of existing) version >= 0 -> existing
          | _ ->
              applied := true;
-             {
-               sversion = version;
-               scontent = Some (content_of t.vlayout (Array.copy columns));
-               schain = retired_chain t ~chained ~delta ~len old;
-             }));
+             install head (retired_chain t ~chained ~delta ~len old)));
   if !applied then begin
     note_chained t key ~delta:!delta ~len:!len;
     log_put t ~worker ~key ~version ~columns
@@ -341,14 +371,13 @@ let put_columns ?worker t key updates =
          len := 0;
          applied := false;
          match old with
-         | Some existing when Int64.compare existing.sversion version >= 0 ->
-             existing
+         | Some existing when Int64.compare (version_of existing) version >= 0 -> existing
          | _ ->
          applied := true;
          let base =
-           match old with
-           | Some { scontent = Some c; _ } -> unpack c
-           | Some { scontent = None; _ } | None -> [||]
+           match Option.bind old (fun st -> head_columns st None) with
+           | Some c -> c
+           | None -> [||]
          in
          let width =
            List.fold_left (fun w (i, _) -> max w (i + 1)) (Array.length base) updates
@@ -361,11 +390,7 @@ let put_columns ?worker t key updates =
          Array.blit base 0 merged 0 (Array.length base);
          List.iter (fun (i, c) -> if i >= 0 then merged.(i) <- c) updates;
          result := merged;
-         {
-           sversion = version;
-           scontent = Some (content_of t.vlayout merged);
-           schain = retired_chain t ~chained ~delta ~len old;
-         }));
+         install (fresh_head t ~version merged) (retired_chain t ~chained ~delta ~len old)));
   if !applied then begin
     note_chained t key ~delta:!delta ~len:!len;
     log_put t ~worker ~key ~version ~columns:!result
@@ -382,13 +407,13 @@ let remove ?worker t key =
        it.  Chain entries hanging off the old head die with it (their
        lifetimes all end before [version]). *)
     match Tree.remove t.tree key with
-    | Some { scontent = Some _; schain; _ } ->
-        apply_version_delta t (-Mvcc.Chain.length schain);
-        log_remove t ~worker ~key ~version;
-        true
-    | Some { scontent = None; schain; _ } ->
-        apply_version_delta t (-Mvcc.Chain.length schain);
-        false
+    | Some st ->
+        apply_version_delta t (-Mvcc.Chain.length (chain_of st));
+        if is_tomb st then false
+        else begin
+          log_remove t ~worker ~key ~version;
+          true
+        end
     | None -> false
   end
   else begin
@@ -403,22 +428,21 @@ let remove ?worker t key =
            removed := false;
            delta := 0;
            len := 0;
-           if Int64.compare old.sversion version >= 0 then
+           if Int64.compare (version_of old) version >= 0 then
              (* A concurrent writer already published a newer head: this
                 remove serializes before it and its effect is gone (see
                 the version-inversion note above [put]).  Tombstoning
                 with the smaller version would invert the chain. *)
              old
-           else
-             match old.scontent with
-             | None -> old (* already a tombstone; nothing to remove *)
-             | Some _ ->
-                 removed := true;
-                 {
-                   sversion = version;
-                   scontent = None;
-                   schain = retired_chain t ~chained:true ~delta ~len (Some old);
-                 }));
+           else if is_tomb old then old (* nothing to remove *)
+           else begin
+             removed := true;
+             Tomb
+               {
+                 sversion = version;
+                 schain = retired_chain t ~chained:true ~delta ~len (Some old);
+               }
+           end));
     if !removed then begin
       note_chained t key ~delta:!delta ~len:!len;
       (* The tombstone itself needs pruning once snapshots drain. *)
@@ -439,11 +463,9 @@ let getrange t ~start ?columns ~limit f =
     (try
        ignore
          (Tree.scan t.tree ~start ~limit:max_int (fun k v ->
-              match v.scontent with
+              match head_columns v columns with
               | None -> ()
-              | Some content ->
-                  let cols = unpack content in
-                  let out = match columns with None -> cols | Some c -> select cols c in
+              | Some out ->
                   f k out;
                   incr emitted;
                   if !emitted >= limit then raise Done))
@@ -459,11 +481,9 @@ let getrange_rev t ?start ?columns ~limit f =
     (try
        ignore
          (Tree.scan_rev t.tree ?start ~limit:max_int (fun k v ->
-              match v.scontent with
+              match head_columns v columns with
               | None -> ()
-              | Some content ->
-                  let cols = unpack content in
-                  let out = match columns with None -> cols | Some c -> select cols c in
+              | Some out ->
                   f k out;
                   incr emitted;
                   if !emitted >= limit then raise Done))
@@ -475,19 +495,18 @@ let cardinal t =
   let n = ref 0 in
   ignore
     (Tree.scan t.tree ~limit:max_int (fun _ v ->
-         match v.scontent with Some _ -> incr n | None -> ()));
+         if not (is_tomb v) then incr n));
   !n
 
 (* ---- snapshots ---- *)
 
-(* The state of [key] as of version [at]: [None] = no version that old
-   (born later, or pruned — the opener's ordering makes the latter
-   unreachable for open snapshots); [Some None] = tombstone (absent);
-   [Some (Some c)] = the payload. *)
+(* The head [key] had as of version [at] (possibly a tombstone), or
+   [None] if there was no version that old (born later, or pruned — the
+   opener's ordering makes the latter unreachable for open snapshots). *)
 let resolve_at st ~at =
-  if Int64.compare st.sversion at <= 0 then Some st.scontent
+  if Int64.compare (version_of st) at <= 0 then Some st
   else
-    match Mvcc.Chain.find st.schain ~at with
+    match Mvcc.Chain.find (chain_of st) ~at with
     | Some e -> Some e.Mvcc.Chain.payload
     | None -> None
 
@@ -512,20 +531,17 @@ module Snapshot = struct
   let check_open s =
     if Atomic.get s.sclosed then invalid_arg "Store.Snapshot: use after close"
 
-  let read_value s key =
+  let read_value s key columns =
     check_open s;
     let at = version s in
     Schedpoint.hit sp_snap_read;
-    match Tree.get s.sstore.tree key with
+    match Option.bind (Tree.get s.sstore.tree key) (resolve_at ~at) with
+    | Some st -> head_columns st columns
     | None -> None
-    | Some st -> (
-        match resolve_at st ~at with
-        | None | Some None -> None
-        | Some (Some c) -> Some (unpack c))
 
-  let read s key = read_value s key
+  let read s key = read_value s key None
 
-  let read_columns s key cols = Option.map (fun v -> select v cols) (read_value s key)
+  let read_columns s key cols = read_value s key (Some cols)
 
   let getrange s ~start ?columns ~limit f =
     check_open s;
@@ -538,13 +554,9 @@ module Snapshot = struct
          ignore
            (Tree.scan s.sstore.tree ~start ~limit:max_int (fun k st ->
                 Schedpoint.hit sp_snap_read;
-                match resolve_at st ~at with
-                | None | Some None -> ()
-                | Some (Some content) ->
-                    let cols = unpack content in
-                    let out =
-                      match columns with None -> cols | Some c -> select cols c
-                    in
+                match Option.bind (resolve_at st ~at) (fun h -> head_columns h columns) with
+                | None -> ()
+                | Some out ->
                     f k out;
                     incr emitted;
                     if !emitted >= limit then raise Done))
@@ -568,20 +580,15 @@ module Snapshot = struct
          ignore
            (Tree.scan s.sstore.tree ~start ~limit:max_int (fun k st ->
                 Schedpoint.hit sp_snap_read;
-                let resolved =
-                  if Int64.compare st.sversion at <= 0 then
-                    Some (st.sversion, st.scontent)
-                  else
-                    match Mvcc.Chain.find st.schain ~at with
-                    | Some e -> Some (e.Mvcc.Chain.version, e.Mvcc.Chain.payload)
-                    | None -> None
-                in
-                match resolved with
-                | None | Some (_, None) -> ()
-                | Some (v, Some content) ->
-                    f k v (unpack content);
-                    incr emitted;
-                    if !emitted >= limit then raise Done))
+                match resolve_at st ~at with
+                | None -> ()
+                | Some h -> (
+                    match head_columns h None with
+                    | None -> ()
+                    | Some cols ->
+                        f k (version_of h) cols;
+                        incr emitted;
+                        if !emitted >= limit then raise Done)))
        with Done -> ());
       !emitted
     end
@@ -677,7 +684,9 @@ let ensure_version_above t version = bump_clock t version
    migration ever race an open snapshot, the retired payload is chained
    like any other write. *)
 
-let apply_put t ~key ~version ~columns =
+(* Install [head] unless the key already holds a version at least as
+   new (the replay guard). *)
+let apply_head t ~key ~version head =
   bump_clock t version;
   let chained = Mvcc.Horizon.active t.snaps > 0 in
   let delta = ref 0 and len = ref 0 in
@@ -686,32 +695,15 @@ let apply_put t ~key ~version ~columns =
          delta := 0;
          len := 0;
          match old with
-         | Some existing when Int64.compare existing.sversion version >= 0 -> existing
-         | _ ->
-             {
-               sversion = version;
-               scontent = Some (content_of t.vlayout columns);
-               schain = retired_chain t ~chained ~delta ~len old;
-             }));
+         | Some existing when Int64.compare (version_of existing) version >= 0 -> existing
+         | _ -> install head (retired_chain t ~chained ~delta ~len old)));
   note_chained t key ~delta:!delta ~len:!len
 
+let apply_put t ~key ~version ~columns =
+  apply_head t ~key ~version (fresh_head t ~version columns)
+
 let apply_remove t ~key ~version =
-  bump_clock t version;
-  let chained = Mvcc.Horizon.active t.snaps > 0 in
-  let delta = ref 0 and len = ref 0 in
-  ignore
-    (Tree.put_with t.tree key (fun old ->
-         delta := 0;
-         len := 0;
-         match old with
-         | Some existing when Int64.compare existing.sversion version >= 0 -> existing
-         | _ ->
-             {
-               sversion = version;
-               scontent = None;
-               schain = retired_chain t ~chained ~delta ~len old;
-             }));
-  note_chained t key ~delta:!delta ~len:!len
+  apply_head t ~key ~version (Tomb { sversion = version; schain = Mvcc.Chain.empty })
 
 (* ---- reshard migration (version-carrying logged writes) ----
 
@@ -737,13 +729,19 @@ let migrate_remove ?worker t ~key ~version =
 let iter_entries t f =
   ignore
     (Tree.scan t.tree ~limit:max_int (fun k v ->
-         f ~key:k ~version:v.sversion ~columns:(Option.map unpack v.scontent)))
+         f ~key:k ~version:(version_of v) ~columns:(head_columns v None)))
 
 (* ---- checkpoint / recovery ---- *)
 
 let checkpoint ?vfs ?(snapshot = true) t ~dir ~writers =
   let began_us = Xutil.Clock.wall_us () in
   let entries = ref [] in
+  let add_entry key h =
+    match head_columns h None with
+    | Some columns ->
+        entries := { Persist.Checkpoint.key; version = version_of h; columns } :: !entries
+    | None -> ()
+  in
   if snapshot then begin
     (* Walk a pinned snapshot: one consistent cut, no races with
        foreground puts (they chain retired values instead of fighting
@@ -760,33 +758,14 @@ let checkpoint ?vfs ?(snapshot = true) t ~dir ~writers =
                (* Resolve at the cut, keeping the resolved entry's own
                   version — the recovery replay guard compares per-key
                   versions against log records. *)
-               let resolved =
-                 if Int64.compare st.sversion at <= 0 then Some (st.sversion, st.scontent)
-                 else
-                   match Mvcc.Chain.find st.schain ~at with
-                   | Some e -> Some (e.Mvcc.Chain.version, e.Mvcc.Chain.payload)
-                   | None -> None
-               in
-               match resolved with
-               | Some (version, Some c) ->
-                   entries :=
-                     { Persist.Checkpoint.key = k; version; columns = unpack c }
-                     :: !entries
-               | Some (_, None) | None -> ())))
+               match resolve_at st ~at with Some h -> add_entry k h | None -> ())))
   end
   else
     (* Legacy pull-based stream: the scan runs concurrently with normal
        operation; each entry is some committed version of its key (the
        pre-MVCC behavior, kept as the interference baseline for
        [bench ckpt]). *)
-    ignore
-      (Tree.scan t.tree ~limit:max_int (fun k v ->
-           match v.scontent with
-           | Some c ->
-               entries :=
-                 { Persist.Checkpoint.key = k; version = v.sversion; columns = unpack c }
-                 :: !entries
-           | None -> ()));
+    ignore (Tree.scan t.tree ~limit:max_int add_entry);
   let remaining = ref !entries in
   let lock = Xutil.Spinlock.create () in
   let next () =
@@ -803,16 +782,11 @@ let sweep_tombstones t =
   let tombs = ref [] in
   ignore
     (Tree.scan t.tree ~limit:max_int (fun k v ->
-         match v.scontent with None -> tombs := k :: !tombs | Some _ -> ()));
+         if is_tomb v then tombs := k :: !tombs));
   (* [remove_if] re-checks the tombstone state under the border lock, so
      a key concurrently reinstated between the scan and the sweep is
      left alone (this used to be a quiescent-only pass). *)
-  List.iter
-    (fun k ->
-      ignore
-        (Tree.remove_if t.tree k (fun st ->
-             st.scontent = None && st.schain = None)))
-    !tombs
+  List.iter (fun k -> ignore (Tree.remove_if t.tree k dead_tomb)) !tombs
 
 let recover ?vfs ?logs ?layout ?replay_domains ?(keep_tombstones = false) ~log_paths
     ~checkpoint_dirs () =

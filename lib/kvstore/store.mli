@@ -17,12 +17,17 @@ type value = { version : int64; columns : string array }
 type layout =
   | Contiguous
       (** §4.7's small-value design: all columns packed into one
-          freshly-built block per update.  Reads touch one allocation;
-          column updates copy every byte of the value. *)
+          freshly-built block per update, already in its wire encoding
+          ({!Packed}).  A get touches one allocation past its head record
+          — border slot, head (version and chain), bytes — and a
+          full-value get over the network copies those bytes once, into
+          the reply ({!get_packed}).  Column updates copy every byte of
+          the value. *)
   | Columnar
       (** §4.7's large-value design: one block per column.  Column
           updates copy only pointers to unmodified columns; reads of many
-          columns chase one pointer per column. *)
+          columns chase one pointer per column, and {!get_packed} encodes
+          the columns on every call. *)
 
 type t
 
@@ -46,13 +51,27 @@ val get_columns : t -> string -> int list -> string array option
 
 val get_value : t -> string -> value option
 
-val multi_get : t -> string array -> string array option array
+val get_packed : t -> string -> string option
+(** Full-value get in wire form ({!Packed}): under [Contiguous] the
+    stored string itself, no copy.  The network engine answers full-value
+    gets with it. *)
+
+val get_packed_value : t -> string -> (int64 * string) option
+(** {!get_packed} with the value's version (the router's hot-cache
+    fill). *)
+
+val multi_get_packed : t -> string array -> string option array
 (** Batched full-value gets over the software-pipelined group-get path
     ({!Masstree_core.Tree.multi_get_pipelined}, docs/BATCHING.md): the
     whole batch's tree descents interleave one node per round with
-    cross-lookup prefetch (§4.8).  The network engine calls this for
-    merged runs of full-value get frames, and the shard router for each
-    shard's slice of a fanned-out batch. *)
+    cross-lookup prefetch (§4.8).  Results are in wire form, as
+    {!get_packed} returns them: under [Contiguous] the batch copies no
+    value bytes.  The network engine calls this for merged runs of
+    full-value get frames, and the shard router for each shard's slice of
+    a fanned-out batch. *)
+
+val multi_get : t -> string array -> string array option array
+(** {!multi_get_packed} with each value decoded into its columns. *)
 
 val put : ?worker:int -> t -> string -> string array -> unit
 (** Full-value put (replaces all columns). *)

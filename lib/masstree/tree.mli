@@ -126,7 +126,7 @@ val multi_get_pipelined : 'v t -> Key.t array -> 'v option array
     restart fuel — or outlives the round budget — finishes on plain
     [get], whose spin-aware retry loop guarantees progress.
 
-    This is the path {!Kvstore.Store.multi_get} serves, so the reactor's
+    This is the path {!Kvstore.Store.multi_get_packed} serves, so the reactor's
     cross-frame merged get batches and the shard router's per-shard
     fan-out both descend pipelined end to end.  Schedule points:
     [tree.pipeline.round] between rounds plus the plain read protocol's

@@ -1,11 +1,13 @@
 (* Version-validated read cache for the hottest keys.
 
    Direct-mapped over immutable entries: each slot holds at most one
-   (key, columns, version) entry plus an invalidation stamp.  The
-   protocol that keeps a filled entry coherent with the shards:
+   (key, value, version) entry plus an invalidation stamp.  The value is
+   the store's wire-form bytes ([Kvstore.Packed]), so a hit answers a
+   full-value get with no decode.  The protocol that keeps a filled
+   entry coherent with the shards:
 
      - hit:        a lock-free read of the slot's entry; if its key
-                   matches, the cached columns are the answer.  A hit
+                   matches, the cached value is the answer.  A hit
                    racing an invalidation linearizes just before the
                    write that triggered it.
      - fill:       a reader that missed captures the slot's stamp
@@ -35,7 +37,7 @@
    stale, which only makes a fill more conservative: a stale captured
    stamp can never match a bumped current one. *)
 
-type entry = { key : string; columns : string array; version : int64 }
+type entry = { key : string; value : string; version : int64 }
 
 (* Counters are plain ints: [fills]/[rejected_fills]/[invalidations] are
    updated under slot locks (exact up to slot overlap); [hits]/[misses]
@@ -88,18 +90,18 @@ let find t h key =
   match t.entries.(h land t.mask) with
   | Some e when String.equal e.key key ->
       t.hits <- t.hits + 1;
-      Some e.columns
+      Some e.value
   | _ ->
       t.misses <- t.misses + 1;
       None
 
 let stamp t h = t.stamps.(h land t.mask)
 
-let fill t h key ~stamp:st ~version columns =
+let fill t h key ~stamp:st ~version value =
   let i = h land t.mask in
   Xutil.Spinlock.with_lock t.locks.(i) (fun () ->
       if t.stamps.(i) = st then begin
-        t.entries.(i) <- Some { key; columns; version };
+        t.entries.(i) <- Some { key; value; version };
         t.fills <- t.fills + 1;
         true
       end

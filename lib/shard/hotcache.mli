@@ -31,15 +31,16 @@ val create : slots:int -> t
 
 val slots : t -> int
 
-val find : t -> int -> string -> string array option
-(** [find t h key] — lock-free probe.  Counted as a hit or miss in
+val find : t -> int -> string -> string option
+(** [find t h key] — lock-free probe for the cached value (the store's
+    wire-form bytes, {!Kvstore.Packed}).  Counted as a hit or miss in
     {!stats}. *)
 
 val stamp : t -> int -> int
 (** [stamp t h] — current invalidation stamp of the key's slot.  Capture
     it before reading the backing store. *)
 
-val fill : t -> int -> string -> stamp:int -> version:int64 -> string array -> bool
+val fill : t -> int -> string -> stamp:int -> version:int64 -> string -> bool
 (** Publish a value read from the backing store; returns [false] (and
     caches nothing) if the slot's stamp moved since [stamp] was taken. *)
 

@@ -209,55 +209,47 @@ let fill_eligible h hv =
 
 (* ---- point operations ---- *)
 
-let project columns full =
-  let w = Array.length full in
-  Array.of_list (List.map (fun i -> if i >= 0 && i < w then full.(i) else "") columns)
-
 (* Fill-eligible miss path: capture the slot stamp before the shard read
-   and publish (columns, version) only if no write intervened. *)
+   and publish (value, version) only if no write intervened. *)
 let get_fill t h hv key =
   let st = Hotcache.stamp h.cache hv in
-  match with_shard t (shard_of_h t hv key) (fun store -> Kvstore.Store.get_value store key) with
+  match
+    with_shard t (shard_of_h t hv key) (fun store -> Kvstore.Store.get_packed_value store key)
+  with
   | None -> None
-  | Some v ->
-      ignore
-        (Hotcache.fill h.cache hv key ~stamp:st ~version:v.Kvstore.Store.version
-           v.Kvstore.Store.columns);
-      Some v.Kvstore.Store.columns
+  | Some (version, p) ->
+      ignore (Hotcache.fill h.cache hv key ~stamp:st ~version p);
+      Some p
 
-(* Full-value get through the hot-key layer: hash once, consult the
-   L2-resident fingerprint gate first.  Keys outside the hot set skip
-   the cache entirely — their only overhead over a plain routed get is
-   the hash (shared with routing), a tick, and one byte read.  Keys
-   inside it probe the cache and fill on a miss. *)
+(* Full-value get through the hot-key layer, in wire form: hash once,
+   consult the L2-resident fingerprint gate first.  Keys outside the hot
+   set skip the cache entirely — their only overhead over a plain routed
+   get is the hash (shared with routing), a tick, and one byte read.
+   Keys inside it probe the cache and fill on a miss. *)
 let get_hot t h ~worker key =
   let hv = fnv1a key in
   note_get h ~worker key;
   if fill_eligible h hv then
     match Hotcache.find h.cache hv key with
-    | Some cols -> Some cols
+    | Some p -> Some p
     | None -> get_fill t h hv key
-  else with_shard t (shard_of_h t hv key) (fun store -> Kvstore.Store.get store key)
+  else with_shard t (shard_of_h t hv key) (fun store -> Kvstore.Store.get_packed store key)
+
+let get_packed ?(worker = 0) t key =
+  match t.hot with
+  | None -> with_shard t (shard_of t key) (fun store -> Kvstore.Store.get_packed store key)
+  | Some h -> get_hot t h ~worker key
 
 let get ?(worker = 0) t key =
   match t.hot with
   | None -> with_shard t (shard_of t key) (fun store -> Kvstore.Store.get store key)
-  | Some h -> get_hot t h ~worker key
+  | Some h -> Option.map Kvstore.Packed.unpack (get_hot t h ~worker key)
 
 let get_columns ?(worker = 0) t key columns =
   match t.hot with
   | None ->
       with_shard t (shard_of t key) (fun store -> Kvstore.Store.get_columns store key columns)
-  | Some h -> (
-      let hv = fnv1a key in
-      note_get h ~worker key;
-      if fill_eligible h hv then
-        match Hotcache.find h.cache hv key with
-        | Some full -> Some (project columns full)
-        | None -> Option.map (project columns) (get_fill t h hv key)
-      else
-        with_shard t (shard_of_h t hv key) (fun store ->
-            Kvstore.Store.get_columns store key columns))
+  | Some h -> Option.map (fun p -> Kvstore.Packed.select p columns) (get_hot t h ~worker key)
 
 let get_value t key =
   with_shard t (shard_of t key) (fun store -> Kvstore.Store.get_value store key)
@@ -317,7 +309,7 @@ let offload_stats t =
 
 (* ---- multi_get fan-out ---- *)
 
-let multi_get ?(worker = 0) t keys =
+let multi_get_packed ?(worker = 0) t keys =
   let n = Array.length keys in
   let results = Array.make n None in
   let nshards = Array.length t.stores in
@@ -334,7 +326,7 @@ let multi_get ?(worker = 0) t keys =
           note_get h ~worker key;
           if fill_eligible h hv then
             match Hotcache.find h.cache hv key with
-            | Some cols -> results.(i) <- Some cols
+            | Some p -> results.(i) <- Some p
             | None ->
                 (* stamp captured now, before any shard read below *)
                 fills.(s) <- (i, key, hv, Hotcache.stamp h.cache hv) :: fills.(s)
@@ -348,23 +340,23 @@ let multi_get ?(worker = 0) t keys =
           | l ->
               let l = Array.of_list l in
               let ks = Array.map snd l in
-              let rs = Kvstore.Store.multi_get store ks in
+              let rs = Kvstore.Store.multi_get_packed store ks in
               Array.iteri (fun j (i, _) -> results.(i) <- rs.(j)) l);
           List.iter
             (fun (i, key, hv, st) ->
-              match Kvstore.Store.get_value store key with
+              match Kvstore.Store.get_packed_value store key with
               | None -> results.(i) <- None
-              | Some v ->
+              | Some (version, p) ->
                   (match t.hot with
-                  | Some h ->
-                      ignore
-                        (Hotcache.fill h.cache hv key ~stamp:st
-                           ~version:v.Kvstore.Store.version v.Kvstore.Store.columns)
+                  | Some h -> ignore (Hotcache.fill h.cache hv key ~stamp:st ~version p)
                   | None -> ());
-                  results.(i) <- Some v.Kvstore.Store.columns)
+                  results.(i) <- Some p)
             fills.(s))
   done;
   results
+
+let multi_get ?worker t keys =
+  Array.map (Option.map Kvstore.Packed.unpack) (multi_get_packed ?worker t keys)
 
 (* ---- merged scans ---- *)
 

@@ -72,6 +72,11 @@ val shard_of : t -> string -> int
 
 val get : ?worker:int -> t -> string -> string array option
 
+val get_packed : ?worker:int -> t -> string -> string option
+(** Full-value get in wire form ({!Kvstore.Store.get_packed}); the hot
+    cache holds values in the same form, so a hit returns the cached
+    string. *)
+
 val get_columns : ?worker:int -> t -> string -> int list -> string array option
 
 val get_value : t -> string -> Kvstore.Store.value option
@@ -125,10 +130,14 @@ val offload_stats : t -> int * int
 (** [(served, fallback)]: offload reads answered by a replica vs routed
     back to the owning shard. *)
 
-val multi_get : ?worker:int -> t -> string array -> string array option array
+val multi_get_packed : ?worker:int -> t -> string array -> string option array
 (** Cache hits answered up front; misses grouped per shard and served by
-    that shard's interleaved {!Kvstore.Store.multi_get} wave (§4.8), with
-    results scattered back into request order. *)
+    that shard's interleaved {!Kvstore.Store.multi_get_packed} wave
+    (§4.8), with results scattered back into request order.  Values are
+    in wire form, as the shards and the hot cache hold them. *)
+
+val multi_get : ?worker:int -> t -> string array -> string array option array
+(** {!multi_get_packed} with each value decoded into its columns. *)
 
 val getrange :
   t -> start:string -> ?columns:int list -> limit:int ->

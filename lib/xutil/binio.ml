@@ -42,16 +42,17 @@ let write_u64 w v =
   Bytes.set_int64_le w.buf w.len v;
   w.len <- w.len + 8
 
+(* Loops rather than local recursive functions: without flambda a local
+   [let rec] that captures [w] (or [r]) allocates a closure per call, and
+   these run once per column on every encode and decode. *)
 let write_varint w n =
   assert (n >= 0);
-  let rec go n =
-    if n < 0x80 then write_u8 w n
-    else begin
-      write_u8 w (n land 0x7f lor 0x80);
-      go (n lsr 7)
-    end
-  in
-  go n
+  let n = ref n in
+  while !n >= 0x80 do
+    write_u8 w (!n land 0x7f lor 0x80);
+    n := !n lsr 7
+  done;
+  write_u8 w !n
 
 let write_raw w s =
   let n = String.length s in
@@ -111,12 +112,14 @@ let read_u64 r =
   v
 
 let read_varint r =
-  let rec go shift acc =
+  let acc = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
     let b = read_u8 r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 <> 0 then go (shift + 7) acc else acc
-  in
-  go 0 0
+    acc := !acc lor ((b land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    more := b land 0x80 <> 0
+  done;
+  !acc
 
 let read_raw r n =
   if n < 0 then raise Truncated;

@@ -343,27 +343,28 @@ let test_hot_cache_multi_get_coherent () =
 (* --- hotcache stamp protocol (unit) -------------------------------- *)
 
 let test_hotcache_stamp_protocol () =
+  let pack = Kvstore.Packed.pack in
   let c = Hotcache.create ~slots:16 in
   let h = Hotcache.hash "k" in
   check_bool "empty miss" true (Hotcache.find c h "k" = None);
   let st = Hotcache.stamp c h in
   check_bool "fill with fresh stamp" true
-    (Hotcache.fill c h "k" ~stamp:st ~version:3L [| "v" |]);
-  check_bool "hit" true (Hotcache.find c h "k" = Some [| "v" |]);
+    (Hotcache.fill c h "k" ~stamp:st ~version:3L (pack [| "v" |]));
+  check_bool "hit" true (Hotcache.find c h "k" = Some (pack [| "v" |]));
   check_bool "cached version" true (Hotcache.cached_version c "k" = Some 3L);
   (* the stale-fill race: stamp taken, writer invalidates, fill must lose *)
   let st = Hotcache.stamp c h in
   Hotcache.invalidate c h "k";
   check_bool "entry dropped" true (Hotcache.find c h "k" = None);
   check_bool "stale fill rejected" true
-    (not (Hotcache.fill c h "k" ~stamp:st ~version:9L [| "stale" |]));
+    (not (Hotcache.fill c h "k" ~stamp:st ~version:9L (pack [| "stale" |])));
   check_bool "still empty" true (Hotcache.find c h "k" = None);
   let stats = Hotcache.stats c in
   check_int "rejected fills" 1 stats.Hotcache.s_rejected_fills;
   (* fresh stamp after the invalidation works again *)
   let st = Hotcache.stamp c h in
-  check_bool "refill" true (Hotcache.fill c h "k" ~stamp:st ~version:10L [| "v2" |]);
-  check_bool "hit v2" true (Hotcache.find c h "k" = Some [| "v2" |]);
+  check_bool "refill" true (Hotcache.fill c h "k" ~stamp:st ~version:10L (pack [| "v2" |]));
+  check_bool "hit v2" true (Hotcache.find c h "k" = Some (pack [| "v2" |]));
   Hotcache.clear c;
   check_bool "cleared" true (Hotcache.find c h "k" = None)
 
@@ -455,7 +456,10 @@ let test_engine_sharded_backend () =
   let module P = Kvserver.Protocol in
   let r = Router.create ~hot:eager_hot (new_stores 4) in
   let b = Kvserver.Engine.sharded r in
-  let exec req = Kvserver.Engine.execute ~worker:0 b req in
+  (* Responses as a client decodes them: in process, full-value gets
+     answer [Value_packed], which goes on the wire as [Value]. *)
+  let wire resps = P.decode_responses (P.encode_responses resps) in
+  let exec req = List.hd (wire [ Kvserver.Engine.execute ~worker:0 b req ]) in
   check_bool "put" true (exec (P.Put { key = "k1"; columns = [| "a" |] }) = P.Ok_put);
   check_bool "put2" true (exec (P.Put { key = "k2"; columns = [| "b" |] }) = P.Ok_put);
   check_bool "get" true
@@ -463,7 +467,8 @@ let test_engine_sharded_backend () =
   check_bool "get miss" true (exec (P.Get { key = "zz"; columns = [] }) = P.Value None);
   (* all-gets batch runs the fan-out multi_get path *)
   let batch =
-    Kvserver.Engine.execute_batch ~worker:0 b
+    wire
+    @@ Kvserver.Engine.execute_batch ~worker:0 b
       [
         P.Get { key = "k2"; columns = [] };
         P.Get { key = "nope"; columns = [] };

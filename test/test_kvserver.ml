@@ -43,7 +43,12 @@ let test_codec_rejects_garbage () =
 
 let test_engine () =
   let s = Kvstore.Store.create () in
-  let run r = Engine.execute ~worker:0 (Engine.single s) r in
+  (* Responses as a client decodes them: full-value gets answer
+     [Value_packed] in process, [Value] on the wire. *)
+  let run r =
+    let resp = Engine.execute ~worker:0 (Engine.single s) r in
+    List.hd (Protocol.decode_responses (Protocol.encode_responses [ resp ]))
+  in
   check_bool "miss" true (run (Protocol.Get { key = "a"; columns = [] }) = Protocol.Value None);
   check_bool "put" true (run (Protocol.Put { key = "a"; columns = [| "1"; "2" |] }) = Protocol.Ok_put);
   check_bool "hit" true

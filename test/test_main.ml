@@ -15,6 +15,7 @@ let () =
       ("workload", Test_workload.suite);
       ("persist", Test_persist.suite);
       ("kvstore", Test_kvstore.suite);
+      ("packed", Test_packed.suite);
       ("crash", Test_crash.suite);
       ("kvserver", Test_kvserver.suite);
       ("netserver", Test_netserver.suite);

@@ -168,9 +168,12 @@ let test_execute_frames_merges_get_runs () =
         (pos, String.length body))
       bodies
   in
+  (* Compared as a client decodes them: full-value gets answer
+     [Value_packed] in process, [Value] on the wire. *)
   let emitted = ref [] in
   Engine.execute_frames ~worker:0 (Engine.single store) ~buf:(Buffer.contents buf) ~frames
-    ~emit:(fun r -> emitted := r :: !emitted);
+    ~emit:(fun r ->
+      emitted := Protocol.decode_responses (Protocol.encode_responses r) :: !emitted);
   match List.rev !emitted with
   | [
    [ Protocol.Value (Some [| "1" |]) ];
