@@ -30,7 +30,7 @@ module In = struct
 
   let create ?(capacity = 4096) ?(max_frame = 64 * 1024 * 1024) () =
     {
-      buf = Bytes.create (max 16 capacity);
+      buf = Bytes.create (Int.max 16 capacity);
       head = 0;
       tail = 0;
       max_frame;

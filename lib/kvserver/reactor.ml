@@ -185,7 +185,9 @@ let shard_loop server shard () =
   Poller.set shard.poller shard.wake_rd ~read:true ~write:false;
   while not (Atomic.get server.stopping) do
     Poller.wait shard.poller ~timeout_ms:200 (fun fd readable writable ->
-        if fd = shard.wake_rd then adopt_new shard
+        (* A file descriptor is an immediate int on Unix (Poller relies
+           on it too), so [==] compares it without a [caml_equal] call. *)
+        if fd == shard.wake_rd then adopt_new shard
         else
           match Hashtbl.find_opt shard.conns fd with
           | None -> ()
@@ -233,7 +235,7 @@ let rec accept_loop server next () =
       end
 
 let start ?(shards = 2) ?(out_budget = 1 lsl 20) listener backend =
-  let shards = max 1 shards in
+  let shards = Int.max 1 shards in
   let mk_shard sid =
     let wake_rd, wake_wr = Unix.pipe ~cloexec:true () in
     Unix.set_nonblock wake_rd;
@@ -245,7 +247,7 @@ let start ?(shards = 2) ?(out_budget = 1 lsl 20) listener backend =
       wake_rd;
       wake_wr;
       conns = Hashtbl.create 64;
-      budget = max 4096 out_budget;
+      budget = Int.max 4096 out_budget;
     }
   in
   let server =

@@ -1,3 +1,5 @@
+open Xutil.Intcmp
+
 type t = string
 
 let slice k ~off =
@@ -77,6 +79,6 @@ let pp_slice fmt s =
   let str = slice_to_string s ~len:8 in
   String.iter
     (fun c ->
-      if c >= ' ' && c < '\x7f' then Format.pp_print_char fmt c
+      if Char.code c >= 0x20 && Char.code c < 0x7f then Format.pp_print_char fmt c
       else Format.fprintf fmt "\\x%02x" (Char.code c))
     str

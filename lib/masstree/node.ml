@@ -1,3 +1,5 @@
+open Xutil.Intcmp
+
 type 'v link_or_value =
   | Empty
   | Value of 'v
@@ -37,7 +39,7 @@ and 'v interior = {
   mutable iparent : 'v interior option;
   mutable inkeys : int;
   ikeys : int array; (* flat (hi, lo) pairs: key j at (2j, 2j+1) *)
-  ichild : 'v node option array;
+  ichild : 'v node array; (* slot j > inkeys holds the tree's [no_child] *)
 }
 
 let width = Permutation.width
@@ -89,7 +91,20 @@ let new_border ~pool ~isroot ~locked ~lowhi ~lowlo =
     bstale = 0;
   }
 
-let new_interior ~isroot ~locked =
+(* A dead, childless interior no descent can reach: its version is
+   deleted and it has no keys or child slots.  Only its identity matters;
+   empty child slots point at it and are tested with [==]. *)
+let no_child () =
+  Interior
+    {
+      iversion = Atomic.make (Version.with_deleted (Version.make ~isroot:false ~isborder:false));
+      iparent = None;
+      inkeys = 0;
+      ikeys = [||];
+      ichild = [||];
+    }
+
+let new_interior ~isroot ~locked ~no_child =
   let base =
     if locked then Version.make_locked ~isroot ~isborder:false
     else Version.make ~isroot ~isborder:false
@@ -99,7 +114,7 @@ let new_interior ~isroot ~locked =
     iparent = None;
     inkeys = 0;
     ikeys = Array.make (2 * width) 0;
-    ichild = Array.make (width + 1) None;
+    ichild = Array.make (width + 1) no_child;
   }
 
 let ikey_hi p j = Array.unsafe_get p.ikeys (2 * j)

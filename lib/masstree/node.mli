@@ -70,7 +70,10 @@ and 'v interior = {
   mutable iparent : 'v interior option;
   mutable inkeys : int;
   ikeys : int array; (* 2*width: key j's (hi, lo) at (2j, 2j+1) *)
-  ichild : 'v node option array; (* width + 1 *)
+  ichild : 'v node array;
+      (* width + 1; a slot with no child holds the tree's {!no_child}
+         sentinel, so a descent hop loads the child without first
+         unboxing an option. *)
 }
 
 val width : int
@@ -85,7 +88,15 @@ val new_border :
   'v border
 (** Allocates the payload cell from [pool]. *)
 
-val new_interior : isroot:bool -> locked:bool -> 'v interior
+val no_child : unit -> 'v node
+(** A fresh "no child" sentinel: a deleted interior with no keys and no
+    child slots.  A tree makes one and fills every empty [ichild] slot
+    with it; readers compare a loaded child against it with [==] before
+    touching it (a racing reader can load an empty slot while a remove
+    shifts children). *)
+
+val new_interior : isroot:bool -> locked:bool -> no_child:'v node -> 'v interior
+(** Every child slot starts as [no_child]. *)
 
 (** {1 Cell accessors} — slot-indexed, allocation-free.  Writes require
     the node's lock; reads are race-safe. *)

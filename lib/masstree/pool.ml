@@ -1,3 +1,5 @@
+open Xutil.Intcmp
+
 (* Off-heap node arena: flat Bigarray-backed storage for border-node
    payloads (key slices, key lengths, suffix/value bytes), carved into
    per-domain size-class pools with chunked slab refill and epoch-deferred
@@ -308,7 +310,7 @@ let blob_matches_key t h key ~pos =
     match oversize_find t h with
     | Some s ->
         String.length key - pos = String.length s
-        && String.sub key pos (String.length s) = s
+        && String.equal (String.sub key pos (String.length s)) s
     | None -> false
   else begin
     let klen = String.length key - pos in

@@ -1,4 +1,5 @@
 open Node
+open Xutil.Intcmp
 
 exception Restart
 (* Raised when an operation encounters a deleted node or a collapsed layer
@@ -58,6 +59,7 @@ let merge_max = width - 2
 type 'v t = {
   root : 'v node ref; (* layer-0 root hint; refreshed lazily after splits *)
   pool : Pool.t; (* off-heap arena for border payloads *)
+  nochild : 'v node; (* the empty-[ichild]-slot sentinel (Node.no_child) *)
   tstats : Stats.t;
   emgr : Epoch.manager;
   handle_key : 'v handle_state Domain.DLS.key;
@@ -71,6 +73,7 @@ let create () =
   {
     root = ref (Border (new_border ~pool ~isroot:true ~locked:false ~lowhi:0 ~lowlo:0));
     pool;
+    nochild = no_child ();
     tstats = Stats.create ();
     emgr;
     handle_key =
@@ -113,9 +116,13 @@ let maintain t = Epoch.quiesce t.emgr
    B+-tree and return it with a stable version.  Parent pointers survive on
    deleted nodes, so the climb terminates at a node with the isroot bit. *)
 (* The descent helpers below are top-level and fully applied at every call
-   site: the compiler emits direct calls, so a lookup allocates no closure
-   environments — the point of the pooled layout is lost if every probe
-   rebuilds a capture of (t, key, hi, lo) on the minor heap. *)
+   site, so a lookup allocates no closure environments — the point of the
+   pooled layout is lost if every probe rebuilds a capture of (t, key, hi,
+   lo) on the minor heap.  Calls between them are direct.  The small
+   accessors they use from Key, Node, Version and Permutation inline only
+   when those modules are built without -opaque: under dune's dev profile
+   each is an indirect call through caml_applyN, which is why
+   dune-workspace selects the release profile. *)
 
 let rec stable_climb root_ref n fuel =
   let v = Version.stable (version_of n) in
@@ -166,19 +173,20 @@ let rec fb_from_root t root_ref ~hi ~lo =
 and fb_descend t root_ref ~hi ~lo n v =
   match n with
   | Border b -> (b, v)
-  | Interior i -> (
-      match i.ichild.(child_index i ~hi ~lo) with
-      | None ->
-          (* Torn read during a concurrent shape change; revalidate. *)
-          fb_revalidate t root_ref ~hi ~lo n v
-      | Some n' ->
-          let v' = Version.stable (version_of n') in
-          (* Hand-over-hand: the child's version is read, the parent's
-             about to be revalidated. *)
-          Schedpoint.hit sp_descend_validate;
-          if not (Version.changed v (Atomic.get (version_of n))) then
-            fb_descend t root_ref ~hi ~lo n' v'
-          else fb_revalidate t root_ref ~hi ~lo n v)
+  | Interior i ->
+      let n' = i.ichild.(child_index i ~hi ~lo) in
+      if n' == t.nochild then
+        (* Torn read during a concurrent shape change; revalidate. *)
+        fb_revalidate t root_ref ~hi ~lo n v
+      else begin
+        let v' = Version.stable (version_of n') in
+        (* Hand-over-hand: the child's version is read, the parent's
+           about to be revalidated. *)
+        Schedpoint.hit sp_descend_validate;
+        if not (Version.changed v (Atomic.get (version_of n))) then
+          fb_descend t root_ref ~hi ~lo n' v'
+        else fb_revalidate t root_ref ~hi ~lo n v
+      end
 
 and fb_revalidate t root_ref ~hi ~lo n v =
   (* Hand-over-hand validation failed: if this node split, responsibility
@@ -208,15 +216,16 @@ let rec fw_from_root t root_ref ~hi ~lo =
 and fw_descend t root_ref ~hi ~lo n v =
   match n with
   | Border b -> b
-  | Interior i -> (
-      match i.ichild.(child_index i ~hi ~lo) with
-      | None -> fw_revalidate t root_ref ~hi ~lo n v
-      | Some n' ->
-          let v' = Version.stable (version_of n') in
-          Schedpoint.hit sp_descend_validate;
-          if not (Version.changed v (Atomic.get (version_of n))) then
-            fw_descend t root_ref ~hi ~lo n' v'
-          else fw_revalidate t root_ref ~hi ~lo n v)
+  | Interior i ->
+      let n' = i.ichild.(child_index i ~hi ~lo) in
+      if n' == t.nochild then fw_revalidate t root_ref ~hi ~lo n v
+      else begin
+        let v' = Version.stable (version_of n') in
+        Schedpoint.hit sp_descend_validate;
+        if not (Version.changed v (Atomic.get (version_of n))) then
+          fw_descend t root_ref ~hi ~lo n' v'
+        else fw_revalidate t root_ref ~hi ~lo n v
+      end
 
 and fw_revalidate t root_ref ~hi ~lo n v =
   let v' = Version.stable (version_of n) in
@@ -290,15 +299,16 @@ and get_retry t root_ref key off hi lo rem klen =
 and get_descend t root_ref key off hi lo rem klen n v =
   match n with
   | Border b -> get_forward t root_ref key off hi lo rem klen b v
-  | Interior i -> (
-      match i.ichild.(child_index i ~hi ~lo) with
-      | None -> get_revalidate t root_ref key off hi lo rem klen n v
-      | Some n' ->
-          let v' = Version.stable (version_of n') in
-          Schedpoint.hit sp_descend_validate;
-          if not (Version.changed v (Atomic.get (version_of n))) then
-            get_descend t root_ref key off hi lo rem klen n' v'
-          else get_revalidate t root_ref key off hi lo rem klen n v)
+  | Interior i ->
+      let n' = i.ichild.(child_index i ~hi ~lo) in
+      if n' == t.nochild then get_revalidate t root_ref key off hi lo rem klen n v
+      else begin
+        let v' = Version.stable (version_of n') in
+        Schedpoint.hit sp_descend_validate;
+        if not (Version.changed v (Atomic.get (version_of n))) then
+          get_descend t root_ref key off hi lo rem klen n' v'
+        else get_revalidate t root_ref key off hi lo rem klen n v
+      end
 
 and get_revalidate t root_ref key off hi lo rem klen n v =
   let v' = Version.stable (version_of n) in
@@ -425,17 +435,18 @@ let multi_get t keys =
           (fun f ->
             if not f.fdone then begin
               match f.fnode with
-              | Interior i -> (
-                  match i.ichild.(child_index i ~hi:f.fhi ~lo:f.flo) with
-                  | None -> finish f `Fallback
-                  | Some n' ->
-                      let v' = Version.stable (version_of n') in
-                      if not (Version.changed f.fver (Atomic.get (version_of f.fnode)))
-                      then begin
-                        f.fnode <- n';
-                        f.fver <- v'
-                      end
-                      else finish f `Fallback)
+              | Interior i ->
+                  let n' = i.ichild.(child_index i ~hi:f.fhi ~lo:f.flo) in
+                  if n' == t.nochild then finish f `Fallback
+                  else begin
+                    let v' = Version.stable (version_of n') in
+                    if not (Version.changed f.fver (Atomic.get (version_of f.fnode)))
+                    then begin
+                      f.fnode <- n';
+                      f.fver <- v'
+                    end
+                    else finish f `Fallback
+                  end
               | Border b ->
                   if Version.deleted f.fver then finish f `Fallback
                   else begin
@@ -618,19 +629,20 @@ let multi_get_pipelined t keys =
       let stage_from f =
         match f.qnode with
         | Border b -> f.qstage <- P_border b
-        | Interior i -> (
-            match i.ichild.(child_index i ~hi:f.qhi ~lo:f.qlo) with
-            | None ->
-                (* Torn read during a concurrent shape change. *)
-                let v' = Version.stable (version_of f.qnode) in
-                if Version.vsplit v' <> Version.vsplit f.qver || Version.deleted v'
-                then restart_layer f
-                else begin
-                  Stats.incr t.tstats Stats.Local_retries;
-                  f.qver <- v';
-                  f.qstage <- P_advance
-                end
-            | Some n' -> f.qstage <- P_child n')
+        | Interior i ->
+            let n' = i.ichild.(child_index i ~hi:f.qhi ~lo:f.qlo) in
+            if n' == t.nochild then begin
+              (* Torn read during a concurrent shape change. *)
+              let v' = Version.stable (version_of f.qnode) in
+              if Version.vsplit v' <> Version.vsplit f.qver || Version.deleted v'
+              then restart_layer f
+              else begin
+                Stats.incr t.tstats Stats.Local_retries;
+                f.qver <- v';
+                f.qstage <- P_advance
+              end
+            end
+            else f.qstage <- P_child n'
       in
       let chase_or f b k =
         (* The border may have split under us: responsibility only moves
@@ -888,11 +900,11 @@ let rec ascend t root_ref n nn ~sephi ~seplo =
   match locked_parent n with
   | None ->
       (* n was the root of this layer's B+-tree: grow the tree upward. *)
-      let p = new_interior ~isroot:true ~locked:false in
+      let p = new_interior ~isroot:true ~locked:false ~no_child:t.nochild in
       p.inkeys <- 1;
       set_ikey p 0 ~hi:sephi ~lo:seplo;
-      p.ichild.(0) <- Some n;
-      p.ichild.(1) <- Some nn;
+      p.ichild.(0) <- n;
+      p.ichild.(1) <- nn;
       set_parent n (Some p);
       set_parent nn (Some p);
       Version.set_root (version_of n) false;
@@ -913,7 +925,7 @@ let rec ascend t root_ref n nn ~sephi ~seplo =
           p.ichild.(j + 1) <- p.ichild.(j)
         done;
         set_ikey p pos ~hi:sephi ~lo:seplo;
-        p.ichild.(pos + 1) <- Some nn;
+        p.ichild.(pos + 1) <- nn;
         p.inkeys <- p.inkeys + 1;
         set_parent nn (Some p);
         Version.unlock (version_of n);
@@ -928,7 +940,7 @@ let rec ascend t root_ref n nn ~sephi ~seplo =
         (* Combined key/child sequences with the new separator spliced in. *)
         let khi = Array.make (width + 1) 0 in
         let klo = Array.make (width + 1) 0 in
-        let children = Array.make (width + 2) None in
+        let children = Array.make (width + 2) t.nochild in
         for j = 0 to width - 1 do
           let dst = if j < pos then j else j + 1 in
           khi.(dst) <- ikey_hi p j;
@@ -940,33 +952,33 @@ let rec ascend t root_ref n nn ~sephi ~seplo =
           let dst = if j <= pos then j else j + 1 in
           children.(dst) <- p.ichild.(j)
         done;
-        children.(pos + 1) <- Some nn;
+        children.(pos + 1) <- nn;
         let h = (width + 1) / 2 in
         let uphi = khi.(h) and uplo = klo.(h) in
-        let pp = new_interior ~isroot:false ~locked:true in
+        let pp = new_interior ~isroot:false ~locked:true ~no_child:t.nochild in
         Version.mark_splitting pp.iversion;
         pp.inkeys <- width - h;
         for j = h + 1 to width do
           set_ikey pp (j - h - 1) ~hi:khi.(j) ~lo:klo.(j)
         done;
         for j = h + 1 to width + 1 do
-          pp.ichild.(j - h - 1) <- children.(j);
-          (match children.(j) with
-          | Some c -> set_parent c (Some pp)
-          | None -> assert false)
+          let c = children.(j) in
+          assert (c != t.nochild);
+          pp.ichild.(j - h - 1) <- c;
+          set_parent c (Some pp)
         done;
         p.inkeys <- h;
         for j = 0 to h - 1 do
           set_ikey p j ~hi:khi.(j) ~lo:klo.(j)
         done;
         for j = 0 to h do
-          p.ichild.(j) <- children.(j);
-          match children.(j) with
-          | Some c -> set_parent c (Some p)
-          | None -> assert false
+          let c = children.(j) in
+          assert (c != t.nochild);
+          p.ichild.(j) <- c;
+          set_parent c (Some p)
         done;
         for j = h + 1 to width do
-          p.ichild.(j) <- None
+          p.ichild.(j) <- t.nochild
         done;
         Version.unlock (version_of nn);
         ascend t root_ref (Interior p) (Interior pp) ~sephi:uphi ~seplo:uplo
@@ -1205,9 +1217,7 @@ let rec remove_from_parent t child =
       let k = p.inkeys in
       let idx = ref None in
       for j = 0 to k do
-        match p.ichild.(j) with
-        | Some c when same_node c child -> idx := Some j
-        | _ -> ()
+        if same_node p.ichild.(j) child then idx := Some j
       done;
       match !idx with
       | None ->
@@ -1218,7 +1228,7 @@ let rec remove_from_parent t child =
       | Some i ->
           if k = 0 then begin
             (* p had a single child and now has none: delete p as well. *)
-            p.ichild.(0) <- None;
+            p.ichild.(0) <- t.nochild;
             Version.unlock (version_of child);
             Version.mark_deleted p.iversion;
             Stats.incr t.tstats Stats.Node_deletes;
@@ -1241,7 +1251,7 @@ let rec remove_from_parent t child =
                 p.ichild.(j) <- p.ichild.(j + 1)
               done
             end;
-            p.ichild.(k) <- None;
+            p.ichild.(k) <- t.nochild;
             p.inkeys <- k - 1;
             Version.unlock (version_of child);
             Version.unlock p.iversion
@@ -1435,16 +1445,10 @@ let try_coalesce t b =
           | Some p ->
               let bi = ref (-1) in
               for j = 0 to p.inkeys do
-                match p.ichild.(j) with
-                | Some c when same_node c (Border b) -> bi := j
-                | _ -> ()
+                if same_node p.ichild.(j) (Border b) then bi := j
               done;
               let adjacent =
-                !bi >= 0
-                && !bi < p.inkeys
-                && match p.ichild.(!bi + 1) with
-                   | Some c -> same_node c (Border nx)
-                   | None -> false
+                !bi >= 0 && !bi < p.inkeys && same_node p.ichild.(!bi + 1) (Border nx)
               in
               if not adjacent then begin
                 Version.unlock p.iversion;
@@ -1496,7 +1500,7 @@ let try_coalesce t b =
                 for j = i + 1 to k - 1 do
                   p.ichild.(j) <- p.ichild.(j + 1)
                 done;
-                p.ichild.(k) <- None;
+                p.ichild.(k) <- t.nochild;
                 p.inkeys <- k - 1;
                 retire_storage nx eh;
                 Version.unlock nx.bversion;
@@ -1931,7 +1935,8 @@ let shape t =
     | Interior i ->
         incr interiors;
         for j = 0 to i.inkeys do
-          match i.ichild.(j) with Some c -> node c (depth + 1) | None -> ()
+          let c = i.ichild.(j) in
+          if c != t.nochild then node c (depth + 1)
         done
   in
   incr layers;
@@ -1966,7 +1971,8 @@ let reachable_storage t =
           (Permutation.live_slots (border_perm b))
     | Interior i ->
         for j = 0 to i.inkeys do
-          match i.ichild.(j) with Some c -> node c | None -> ()
+          let c = i.ichild.(j) in
+          if c != t.nochild then node c
         done
   in
   node !(t.root);
@@ -1987,10 +1993,9 @@ let check t =
     let rec leftmost n =
       match n with
       | Border b -> b
-      | Interior i -> (
-          match i.ichild.(0) with
-          | Some c -> leftmost c
-          | None -> fail "interior with no child 0")
+      | Interior i ->
+          let c = i.ichild.(0) in
+          if c == t.nochild then fail "interior with no child 0" else leftmost c
     in
     let rec walk_list b =
       match b.bnext with
@@ -2047,10 +2052,9 @@ let check t =
       then fail "interior keys not sorted"
     done;
     for j = 0 to i.inkeys do
-      match i.ichild.(j) with
-      | None -> fail "missing child %d" j
-      | Some (Border b) -> check_b b (Some i)
-      | Some (Interior ci) -> check_i ci (Some i)
+      let c = i.ichild.(j) in
+      if c == t.nochild then fail "missing child %d" j
+      else match c with Border b -> check_b b (Some i) | Interior ci -> check_i ci (Some i)
     done
   in
   match check_layer !(t.root) with () -> Ok () | exception Bad m -> Error m

@@ -1,3 +1,5 @@
+open Xutil.Intcmp
+
 type t = int
 
 let locked_bit = 1

@@ -95,7 +95,7 @@ let flush_now t =
       Obs.Registry.observe fsync_h fsync_us;
       if oldest <> 0L then
         Obs.Registry.observe lag_h
-          (max 0 (Int64.to_int (Int64.sub (Xutil.Clock.wall_us ()) oldest)))
+          (Int.max 0 (Int64.to_int (Int64.sub (Xutil.Clock.wall_us ()) oldest)))
 
 let tail_push r encoded =
   Queue.push encoded r.frames;
@@ -117,7 +117,7 @@ let append_record t record =
       Buffer.length t.buf >= t.buffer_limit)
 
 let flusher_loop t () =
-  let tick = min 0.01 (t.sync_interval_s /. 4.0) in
+  let tick = Float.min 0.01 (t.sync_interval_s /. 4.0) in
   let last_sync = ref (Unix.gettimeofday ()) in
   while not (Atomic.get t.stop) do
     Thread.delay tick;
@@ -252,7 +252,7 @@ let enable_tail ?(cap_bytes = 1 lsl 24) t =
                 base_seq = 0;
                 next_seq = 0;
                 ring_bytes = 0;
-                cap_bytes = max 4096 cap_bytes;
+                cap_bytes = Int.max 4096 cap_bytes;
               })
 
 let tail_next_seq t =

@@ -117,11 +117,11 @@ let create ?(partitioning = Hash) ?(concurrency = Concurrent) ?hot stores =
         (* note_get's 1-in-[sample] gate is a power-of-two mask; round a
            caller's rate up so e.g. sample=10 means 1-in-16, not the
            silent 1-in-4 that mask 0b1001 would give *)
-        let config = { config with sample = pow2_above (max 1 config.sample) 1 } in
+        let config = { config with sample = pow2_above (Int.max 1 config.sample) 1 } in
         (* 4x slots over the top-K target tames direct-map collisions
            between hot keys; 8x fingerprints keep the gate's false-drop
            rate low.  Both are flat arrays, a few tens of KB. *)
-        let fp_len = pow2_above (8 * max 16 config.hot_slots) 16 in
+        let fp_len = pow2_above (8 * Int.max 16 config.hot_slots) 16 in
         {
           cache = Hotcache.create ~slots:(4 * config.hot_slots);
           sketch = Heavy_hitter.create ~capacity:config.sketch_capacity;
@@ -385,7 +385,7 @@ let merged_scan t ~limit ~collect ~cmp f =
   if limit <= 0 then 0
   else begin
     let nshards = Array.length t.stores in
-    let chunk = min limit scan_chunk in
+    let chunk = Int.min limit scan_chunk in
     let bufs = Array.make nshards [||] in
     let idx = Array.make nshards 0 in
     let more = Array.make nshards true (* shard may hold keys beyond its buffer *) in
@@ -542,7 +542,7 @@ let imbalance_pct loads =
   if n = 0 || total = 0 then 0.0
   else begin
     let mean = float_of_int total /. float_of_int n in
-    let mx = Array.fold_left max 0 loads in
+    let mx = Array.fold_left Int.max 0 loads in
     (float_of_int mx -. mean) /. mean *. 100.0
   end
 

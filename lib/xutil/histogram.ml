@@ -69,7 +69,7 @@ let percentile h p =
       if idx >= n_buckets then h.maximum
       else begin
         let seen = seen + h.counts.(idx) in
-        if seen >= target then max h.minimum (min (value_of_bucket idx) h.maximum)
+        if seen >= target then Int.max h.minimum (Int.min (value_of_bucket idx) h.maximum)
         else go (idx + 1) seen
       end
     in

@@ -79,6 +79,64 @@ let prop_roundtrip =
     QCheck.(string_of_size Gen.(0 -- 8))
     (fun s -> String.equal s (Key.slice_to_string (Key.slice s ~off:0) ~len:(String.length s)))
 
+(* Pairs of keys over a small alphabet rich in 0x00 and 0xff, the second
+   usually derived from the first (one byte changed, truncated or
+   extended), so pairs often share a slice or its high half and the
+   tie-breaking paths run. *)
+let related_keys =
+  let open QCheck.Gen in
+  let byte = oneofl [ '\x00'; '\x01'; 'a'; '\x7f'; '\x80'; '\xff' ] in
+  let key = string_size ~gen:byte (0 -- 20) in
+  let derive a =
+    let n = String.length a in
+    oneof
+      [
+        key;
+        map2
+          (fun i c -> if n = 0 then String.make 1 c else String.mapi (fun j x -> if j = i mod n then c else x) a)
+          nat byte;
+        map (fun k -> String.sub a 0 (Int.min k n)) (0 -- 20);
+        map (fun s -> a ^ s) key;
+      ]
+  in
+  QCheck.make
+    ~print:QCheck.Print.(pair String.escaped String.escaped)
+    (key >>= fun a -> map (fun b -> (a, b)) (derive a))
+
+(* Bytes [off .. off+7] of [s], zero-padded to 8: what a slice encodes. *)
+let padded_slice s ~off =
+  let n = Int.max 0 (Int.min 8 (String.length s - off)) in
+  String.sub s (Int.min off (String.length s)) n ^ String.make (8 - n) '\x00'
+
+let sign c = Int.compare c 0
+
+let prop_compare_parts =
+  QCheck.Test.make ~name:"compare_parts has the sign of String.compare on padded slices"
+    ~count:3000
+    QCheck.(triple related_keys (int_bound 22) (option (int_bound 22)))
+    (fun ((a, b), oa, ob) ->
+      let ob = Option.value ob ~default:oa in
+      let c =
+        Key.compare_parts (Key.slice_hi a ~off:oa) (Key.slice_lo a ~off:oa)
+          (Key.slice_hi b ~off:ob) (Key.slice_lo b ~off:ob)
+      in
+      sign c = sign (String.compare (padded_slice a ~off:oa) (padded_slice b ~off:ob)))
+
+(* [entry_cmp] on the entries two keys would occupy in one layer-0 border:
+   key order, except that two keys sharing a slice and both longer than 8
+   bytes tie (they live under one suffix-or-layer entry, len clamped to 9). *)
+let prop_entry_cmp =
+  QCheck.Test.make ~name:"entry_cmp orders by slice, then min len 9" ~count:3000
+    related_keys
+    (fun (a, b) ->
+      let la = String.length a and lb = String.length b in
+      let c =
+        Node.entry_cmp (Key.slice_hi a ~off:0) (Key.slice_lo a ~off:0) la
+          (Key.slice_hi b ~off:0) (Key.slice_lo b ~off:0) lb
+      in
+      if la > 8 && lb > 8 && String.equal (String.sub a 0 8) (String.sub b 0 8) then c = 0
+      else sign c = sign (String.compare a b))
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -91,4 +149,6 @@ let suite =
     Alcotest.test_case "roundtrip" `Quick test_roundtrip;
     QCheck_alcotest.to_alcotest prop_order_isomorphic;
     QCheck_alcotest.to_alcotest prop_roundtrip;
+    QCheck_alcotest.to_alcotest prop_compare_parts;
+    QCheck_alcotest.to_alcotest prop_entry_cmp;
   ]
